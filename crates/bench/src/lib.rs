@@ -2,9 +2,7 @@
 //!
 //! One **binary** per table/figure regenerates the paper's rows on the
 //! synthetic workload catalog ([`workloads`]); one **Criterion bench** per
-//! table/figure measures the underlying kernels. `DESIGN.md` maps every
-//! experiment to its module and target; `EXPERIMENTS.md` records
-//! paper-vs-measured outcomes.
+//! table/figure measures the underlying kernels.
 //!
 //! Run the row printers with, e.g.:
 //!

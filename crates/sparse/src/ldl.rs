@@ -578,19 +578,16 @@ impl LdlFactor {
     ///
     /// # Errors
     ///
-    /// Returns [`SparseError::NotSquare`] for rectangular input and
-    /// [`SparseError::ZeroPivot`] if a pivot vanishes (matrix not positive
-    /// definite after grounding); the reported column is in the caller's
-    /// original indexing, not the permuted one.
+    /// Returns [`SparseError::NotSquare`] for rectangular input,
+    /// [`SparseError::NotSymmetric`] if the pattern is not structurally
+    /// symmetric (only the full symmetric storage is accepted, not one
+    /// triangle), and [`SparseError::ZeroPivot`] if a pivot vanishes
+    /// (matrix not positive definite after grounding); the reported column
+    /// is in the caller's original indexing, not the permuted one.
     pub fn new(a: &CsrMatrix, kind: OrderingKind) -> Result<Self> {
-        if a.nrows() != a.ncols() {
-            return Err(SparseError::NotSquare {
-                nrows: a.nrows(),
-                ncols: a.ncols(),
-            });
-        }
+        // `compute` checks the pattern for both steps.
         let perm = ordering::compute(a, kind)?;
-        Self::with_permutation(a, perm)
+        Self::factor(a, perm)
     }
 
     /// Factorizes `a` with a caller-provided permutation.
@@ -599,15 +596,20 @@ impl LdlFactor {
     ///
     /// Returns [`SparseError::ShapeMismatch`] if the permutation length
     /// differs from the matrix dimension, [`SparseError::NotSquare`] for
-    /// rectangular input, or [`SparseError::ZeroPivot`] on pivot breakdown
-    /// (reporting the failing column in the caller's original indexing).
+    /// rectangular input, [`SparseError::NotSymmetric`] for a pattern that
+    /// is not structurally symmetric, or [`SparseError::ZeroPivot`] on
+    /// pivot breakdown (reporting the failing column in the caller's
+    /// original indexing).
     pub fn with_permutation(a: &CsrMatrix, perm: Permutation) -> Result<Self> {
-        if a.nrows() != a.ncols() {
-            return Err(SparseError::NotSquare {
-                nrows: a.nrows(),
-                ncols: a.ncols(),
-            });
-        }
+        ordering::require_symmetric_pattern(a)?;
+        Self::factor(a, perm)
+    }
+
+    /// Symbolic and numeric factorization of a square, structurally
+    /// symmetric `a` under `perm`. Only the upper triangle of the permuted
+    /// matrix is read, which is why the pattern check must come first: a
+    /// one-sided input would silently lose the other triangle.
+    fn factor(a: &CsrMatrix, perm: Permutation) -> Result<Self> {
         let n = a.nrows();
         let b = a.permute_sym(&perm)?;
         let u = upper_csc(&b);
@@ -755,7 +757,8 @@ impl LdlFactor {
     /// # Errors
     ///
     /// Returns [`SparseError::NotSquare`] / [`SparseError::ShapeMismatch`]
-    /// for a matrix that cannot be this factor's matrix, and
+    /// / [`SparseError::NotSymmetric`] for a matrix that cannot be this
+    /// factor's matrix, and
     /// [`SparseError::ZeroPivot`] (column in original indexing) if a
     /// re-run pivot vanishes — the factor is **poisoned** after a pivot
     /// failure and must be rebuilt.
@@ -792,6 +795,8 @@ impl LdlFactor {
             Some(c) if c.a_p == a.indptr() && c.a_i == a.indices()
         );
         if !cached {
+            // Cache hits match a pattern that was checked when cached.
+            ordering::require_symmetric_pattern(a)?;
             let b = a.permute_sym(&self.perm)?;
             let u = upper_csc(&b);
             if u.ap != self.ua_p || u.ai != self.ua_i {
@@ -1557,6 +1562,69 @@ mod tests {
         let coo = CooMatrix::new(2, 3);
         let err = LdlFactor::new(&coo.to_csr(), OrderingKind::Natural).unwrap_err();
         assert!(matches!(err, SparseError::NotSquare { .. }));
+    }
+
+    /// A square matrix holding only its upper triangle is rejected at
+    /// every entry point: factoring it would silently drop the entries the
+    /// permutation moves below the diagonal and return a wrong factor.
+    #[test]
+    fn rejects_upper_triangle_only() {
+        let (nx, ny) = (8, 6);
+        let n = nx * ny;
+        // A shifted grid Laplacian, stored in full or as its upper triangle.
+        let grid = |both_triangles: bool| {
+            let mut coo = CooMatrix::new(n, n);
+            let mut edge = |i: usize, j: usize| {
+                if both_triangles {
+                    coo.push_sym(i, j, -1.0);
+                } else {
+                    coo.push(i, j, -1.0);
+                }
+            };
+            for y in 0..ny {
+                for x in 0..nx {
+                    let i = y * nx + x;
+                    if x + 1 < nx {
+                        edge(i, i + 1);
+                    }
+                    if y + 1 < ny {
+                        edge(i, i + nx);
+                    }
+                }
+            }
+            for i in 0..n {
+                coo.push(i, i, 4.5);
+            }
+            coo.to_csr()
+        };
+        let (upper, sym) = (grid(false), grid(true));
+        for kind in [
+            OrderingKind::Natural,
+            OrderingKind::Rcm,
+            OrderingKind::MinDegree,
+            OrderingKind::NestedDissection,
+        ] {
+            assert_eq!(
+                ordering::compute(&upper, kind).unwrap_err(),
+                SparseError::NotSymmetric
+            );
+            assert_eq!(
+                LdlFactor::new(&upper, kind).unwrap_err(),
+                SparseError::NotSymmetric
+            );
+        }
+        let identity = Permutation::from_old_of_new((0..n).collect()).unwrap();
+        assert_eq!(
+            LdlFactor::with_permutation(&upper, identity).unwrap_err(),
+            SparseError::NotSymmetric
+        );
+        // The refactor path checks a pattern before caching it.
+        let mut f = LdlFactor::new(&sym, OrderingKind::MinDegree).unwrap();
+        assert_eq!(
+            f.refactor_partial(&upper, &[0], 0.5).unwrap_err(),
+            SparseError::NotSymmetric
+        );
+        assert!(f.refactor_partial(&sym, &[0], 0.5).is_ok());
     }
 
     #[test]

@@ -41,7 +41,13 @@
 //! - [`DenseBlock`]: a column-major dense multivector, the carrier type for
 //!   every batched-RHS API in the workspace,
 //! - fill-reducing orderings ([`ordering`]): reverse Cuthill–McKee,
-//!   quotient-graph minimum degree, and BFS-separator nested dissection,
+//!   approximate minimum degree (AMD, the default: Amestoy, Davis & Duff,
+//!   SIAM J. Matrix Anal. Appl. 17(4), 1996 — quotient graph with
+//!   approximate external degrees, aggressive absorption, supervariables
+//!   and dense-row deferral, emitted level by level up the assembly
+//!   tree), and
+//!   BFS-separator nested dissection; all of them, and [`LdlFactor`],
+//!   reject patterns that are not structurally symmetric,
 //! - [`Permutation`]: composable row/column permutations,
 //! - [`mmio`]: Matrix Market coordinate-format reading and writing,
 //! - [`dense`]: the handful of dense vector kernels (dot, axpy, norms,

@@ -230,3 +230,67 @@ proptest! {
         prop_assert_eq!(a, back);
     }
 }
+
+/// Strategy: a shifted Laplacian (SPD) of a hub-heavy random graph,
+/// `n in [30, 500)`: preferential attachment with one to three edges per
+/// new node, plus, on even seeds, one extra hub tied to 60% of the nodes —
+/// above the approximate-minimum-degree dense-row threshold
+/// `max(16, 10·√n)` for `n` above about 280.
+fn hub_matrix() -> impl Strategy<Value = CsrMatrix> {
+    (30usize..500, 0u64..1_000_000).prop_map(|(n, seed)| {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut ends: Vec<usize> = vec![0, 1];
+        let mut edges = vec![(0usize, 1usize)];
+        for v in 2..n {
+            for _ in 0..rng.gen_range(1..4usize) {
+                let u = ends[rng.gen_range(0..ends.len())];
+                if u != v && !edges.contains(&(u.min(v), u.max(v))) {
+                    edges.push((u.min(v), u.max(v)));
+                    ends.extend([u, v]);
+                }
+            }
+        }
+        if seed % 2 == 0 {
+            let hub = rng.gen_range(0..n);
+            for v in (0..n).filter(|&v| v != hub && v % 5 < 3) {
+                if !edges.contains(&(hub.min(v), hub.max(v))) {
+                    edges.push((hub.min(v), hub.max(v)));
+                }
+            }
+        }
+        let mut coo = CooMatrix::new(n, n);
+        let mut deg = vec![0.0f64; n];
+        for &(u, v) in &edges {
+            coo.push_sym(u, v, -1.0);
+            deg[u] += 1.0;
+            deg[v] += 1.0;
+        }
+        for (i, d) in deg.iter().enumerate() {
+            coo.push(i, i, d + 0.5);
+        }
+        coo.to_csr()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The approximate-minimum-degree ordering on hub-heavy patterns —
+    /// where aggressive absorption, supervariables and dense-row deferral
+    /// all trigger — is deterministic and yields an accurate factor.
+    #[test]
+    fn min_degree_on_hub_graphs_is_deterministic_and_exact(a in hub_matrix(), seed in 0u64..1000) {
+        use rand::{Rng, SeedableRng};
+        use sass_sparse::ordering;
+        let n = a.nrows();
+        let perm = ordering::compute(&a, OrderingKind::MinDegree).unwrap();
+        prop_assert_eq!(&perm, &ordering::compute(&a, OrderingKind::MinDegree).unwrap());
+        let f = LdlFactor::with_permutation(&a, perm).unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-5.0..5.0)).collect();
+        let x = f.solve(&b);
+        let r = a.residual_norm(&x, &b);
+        prop_assert!(r < 1e-10, "relative residual {}", r);
+    }
+}
