@@ -4,27 +4,23 @@
 //! from a sparse linear-algebra library, implemented from scratch:
 //!
 //! - [`CooMatrix`]: triplet assembly format with duplicate summing,
-//! - [`CsrMatrix`]: compressed sparse row storage with matrix-vector kernels
-//!   (threaded above a size crossover when the default `parallel` feature is
-//!   on — see [`CsrMatrix::par_mul_vec_into`]),
-//! - [`backend`]: the [`SparseBackend`] abstraction over storage layouts —
-//!   [`CsrMatrix`] (row-major), [`CscMatrix`] (column-major with a
-//!   transpose mirror), [`BcsrMatrix`] (register-blocked rows) — each
-//!   generic over the sealed [`Scalar`] trait (`f64` default, `f32` behind
-//!   the `storage-f32` feature), with bit-identical `f64` products across
-//!   layouts and worker counts,
-//! - [`ShardedBackend`]: a domain-decomposed backend — k per-domain
+//! - [`CsrMatrix`]: compressed sparse row storage of `f64` values with
+//!   matrix-vector kernels (threaded above a size crossover when the
+//!   default `parallel` feature is on — see
+//!   [`CsrMatrix::par_mul_vec_into`]). It is the crate's only storage
+//!   format: every phase of the pipeline — the heat embedding, the λ
+//!   probes, the LDLᵀ factor and PCG — applies its Laplacians in `f64`,
+//! - [`ShardedBackend`]: a domain-decomposed matrix — k per-domain
 //!   blocks (separated by a vertex separator from
 //!   [`ordering::vertex_separator`]) plus separator couplings, with an
 //!   out-of-core mode that spills domain matrices through [`mmio`] and
 //!   keeps at most one non-resident domain loaded at a time,
 //! - [`kernel`]: explicit SIMD microkernels (SSE2/AVX2/NEON behind runtime
-//!   dispatch, `simd` feature, `SASS_NO_SIMD` escape hatch) for the
-//!   stored-scalar hot paths — CSR/BCSR SpMV, the 8-wide LDLᵀ sweeps, the
-//!   Joule-heat and heat-scan loops — with the scalar loops as always-on
-//!   fallback and parity oracle, plus the [`kernel::AlignedVec`]
-//!   cache-line-aligned buffer used for BCSR tiles and [`DenseBlock`]
-//!   storage,
+//!   dispatch, `simd` feature, `SASS_NO_SIMD` escape hatch) for the hot
+//!   paths — the 8-wide LDLᵀ sweeps and the Joule-heat and heat-scan
+//!   loops — with the scalar loops as always-on fallback and parity
+//!   oracle, plus the [`kernel::AlignedVec`] cache-line-aligned buffer
+//!   used for [`DenseBlock`] storage,
 //! - [`pool`]: the persistent worker pool every parallel kernel in the
 //!   workspace dispatches through — parked OS threads woken per dispatch
 //!   (no per-call spawn), with deterministic span-ordered reduction and a
@@ -76,12 +72,9 @@
 
 #![deny(missing_docs)]
 
-pub mod backend;
-mod bcsr;
 mod block;
 pub mod config;
 mod coo;
-mod csc;
 mod csr;
 mod error;
 mod ldl;
@@ -89,7 +82,6 @@ mod operator;
 #[cfg(feature = "parallel")]
 mod parallel;
 mod perm;
-mod scalar;
 mod sharded;
 
 pub mod dense;
@@ -99,17 +91,13 @@ pub mod mmio;
 pub mod ordering;
 pub mod pool;
 
-pub use backend::SparseBackend;
-pub use bcsr::BcsrMatrix;
 pub use block::DenseBlock;
 pub use coo::CooMatrix;
-pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use error::SparseError;
 pub use ldl::{LdlFactor, RefactorOutcome, RefactorStats, LDL_BLOCK_WIDTH};
 pub use operator::LinearOperator;
 pub use perm::Permutation;
-pub use scalar::Scalar;
 pub use sharded::{extract_blocks, ShardOptions, ShardedBackend, ShardedBlocks, SpillStore};
 
 /// Crate-wide result alias.

@@ -41,6 +41,10 @@ enum Symmetry {
     Symmetric,
 }
 
+/// Upper bound on the entries [`read`] reserves from the size line before
+/// any entry is parsed.
+const MAX_PREALLOC_ENTRIES: usize = 1 << 20;
+
 fn parse_err(line: usize, message: impl Into<String>) -> SparseError {
     SparseError::ParseMatrixMarket {
         line,
@@ -119,15 +123,15 @@ pub fn read<R: Read>(reader: R) -> Result<CooMatrix> {
         return Err(parse_err(size_line + 1, "missing size line"));
     }
 
-    let mut coo = CooMatrix::with_capacity(
-        nrows,
-        ncols,
-        if symmetry == Symmetry::Symmetric {
-            2 * nnz
-        } else {
-            nnz
-        },
-    );
+    // The header's entry count is untrusted: reserve at most
+    // `MAX_PREALLOC_ENTRIES` up front and let the vectors grow, so a
+    // lying header fails the entry-count check below instead of
+    // overflowing or exhausting memory here.
+    let expanded = match symmetry {
+        Symmetry::Symmetric => nnz.saturating_mul(2),
+        Symmetry::General => nnz,
+    };
+    let mut coo = CooMatrix::with_capacity(nrows, ncols, expanded.min(MAX_PREALLOC_ENTRIES));
     let mut read_entries = 0usize;
     for (i, line) in &mut lines {
         if read_entries == nnz {
@@ -324,6 +328,23 @@ mod tests {
     fn rejects_truncated_file() {
         let text = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n";
         assert!(read_str(text).is_err());
+    }
+
+    /// A size line claiming far more entries than the file holds must be
+    /// rejected by the entry-count check, not abort while preallocating.
+    #[test]
+    fn rejects_oversized_entry_count_headers() {
+        for header in [
+            "%%MatrixMarket matrix coordinate real general\n2 2 18446744073709551615\n",
+            "%%MatrixMarket matrix coordinate real symmetric\n2 2 100000000000\n",
+        ] {
+            let text = format!("{header}1 1 1.0\n");
+            let err = read_str(&text).unwrap_err();
+            assert!(
+                matches!(err, SparseError::ParseMatrixMarket { .. }),
+                "{header:?}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -853,28 +853,24 @@ mod tests {
         assert_eq!(spans.iter().map(|&(lo, hi)| hi - lo).sum::<usize>(), 5);
     }
 
-    /// Regression (blocked-row weight accounting): spans over BCSR block
-    /// rows must balance by scalar nnz — the block-count prefix, which for
-    /// a fixed block area is proportional to stored scalars — not by
-    /// block-row count. A hub-heavy distribution split evenly by block-row
-    /// count would hand lane 0 the hub *and* a fair share of the tail;
-    /// weighted balancing isolates the hub.
+    /// Regression (hub-row weight accounting): spans must balance by the
+    /// weight prefix, not by row count. A hub-heavy distribution split
+    /// evenly by row count would hand lane 0 the hub *and* a fair share
+    /// of the tail; weighted balancing isolates the hub.
     #[test]
     fn balanced_spans_isolate_hub_block_row() {
-        // Block row 0 holds 500 blocks, 7 tail rows hold 2 each — with
-        // 4×4 blocks the hub carries 500·16 = 8000 of 8224 scalars (the
-        // same 500/514 share the block counts carry).
+        // Row 0 holds 500 entries, 7 tail rows hold 2 each.
         let mut prefix = vec![0usize, 500];
         for i in 0..7 {
             prefix.push(500 + 2 * (i + 1));
         }
         let spans = balanced_spans(&prefix, 4);
-        assert_eq!(spans[0], (0, 1), "the hub block row must sit alone");
+        assert_eq!(spans[0], (0, 1), "the hub row must sit alone");
         assert_eq!(spans.last().unwrap().1, 8);
         for w in spans.windows(2) {
             assert_eq!(w[0].1, w[1].0);
         }
-        // An even block-row split would give lane 0 a quarter of the tail
+        // An even row-count split would give lane 0 a quarter of the tail
         // on top of the hub.
         assert_eq!(even_spans(8, 4)[0], (0, 2));
     }

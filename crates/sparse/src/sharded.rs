@@ -1,9 +1,9 @@
-//! Sharded storage: a [`SparseBackend`] composed of per-domain backends.
+//! Sharded storage: a symmetric matrix split into per-domain CSR blocks.
 //!
 //! [`ShardedBackend`] stores a symmetric matrix as the block-arrow form
 //! induced by a vertex separator ([`crate::ordering::vertex_separator`]):
-//! `k` interior domain blocks `A_dd` (each held in any `f64` backend `B`
-//! with **local** row/column numbering), the domain↔separator coupling
+//! `k` interior domain blocks `A_dd` (each a [`CsrMatrix`] with **local**
+//! row/column numbering), the domain↔separator coupling
 //! blocks `A_ds`, and the separator rows. Because no edge connects two
 //! distinct domains, each domain block is independent — the unit of
 //! parallel work ([`ShardedBackend::par_mul_vec_into`] fans one lane out
@@ -14,8 +14,8 @@
 //!
 //! # Tolerance contract
 //!
-//! Unlike the monolithic backends, [`ShardedBackend`] products are **not**
-//! bit-for-bit identical to [`CsrMatrix`]: a domain row's sum associates
+//! [`ShardedBackend`] products are **not** bit-for-bit identical to the
+//! monolithic [`CsrMatrix`]: a domain row's sum associates
 //! as (domain columns) + (separator columns) instead of the original
 //! ascending-column order. Products are still deterministic at every
 //! worker count, and every row differs from the CSR product only by
@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::ordering::{vertex_separator, SeparatorParts};
-use crate::{mmio, pool, CooMatrix, CsrMatrix, Result, SparseBackend};
+use crate::{mmio, pool, CooMatrix, CsrMatrix, Result};
 
 /// The block-arrow pieces of a symmetric matrix under a vertex-separator
 /// decomposition, in local numbering — what [`ShardedBackend`] stores
@@ -253,44 +253,41 @@ impl Drop for SpillStore {
 }
 
 /// Where a sharded backend's domain blocks live.
-enum DomainStore<B> {
-    /// All `k` domain backends resident.
-    InCore(Vec<B>),
+enum DomainStore {
+    /// All `k` domain blocks resident.
+    InCore(Vec<CsrMatrix>),
     /// Domain matrices on disk; at most one loaded at a time.
     OutOfCore {
         store: Arc<SpillStore>,
-        /// The single resident domain (index + backend), behind a lock
+        /// The single resident domain (index + block), behind a lock
         /// because loads happen inside `&self` product calls.
-        resident: Mutex<Option<(usize, B)>>,
+        resident: Mutex<Option<(usize, CsrMatrix)>>,
         /// High-water mark of resident domain bytes, for the
         /// out-of-core memory headline.
         peak_resident: AtomicUsize,
     },
 }
 
-/// A sparse backend sharded into per-domain backends by a vertex
+/// A sparse matrix sharded into per-domain CSR blocks by a vertex
 /// separator — see the module docs for layout, parallelism, and
 /// the tolerance contract.
-///
-/// `B` is the storage backend of each interior domain block (row-major
-/// [`CsrMatrix`] by default — any `f64` [`SparseBackend`] works).
 ///
 /// # Example
 ///
 /// ```
-/// use sass_sparse::{CooMatrix, ShardedBackend, SparseBackend};
+/// use sass_sparse::{CooMatrix, ShardedBackend};
 ///
 /// let mut coo = CooMatrix::new(4, 4);
 /// for i in 0..4 { coo.push(i, i, 2.0); }
 /// for i in 0..3 { coo.push_sym(i, i + 1, -1.0); }
 /// let a = coo.to_csr();
-/// let s: ShardedBackend = SparseBackend::from_csr_f64(&a);
+/// let s = ShardedBackend::in_core(&a, 0);
 /// let y = s.mul_vec(&[1.0, 2.0, 3.0, 4.0]);
 /// for (got, want) in y.iter().zip(a.mul_vec(&[1.0, 2.0, 3.0, 4.0])) {
 ///     assert!((got - want).abs() < 1e-12);
 /// }
 /// ```
-pub struct ShardedBackend<B: SparseBackend<Scalar = f64> = CsrMatrix> {
+pub struct ShardedBackend {
     n: usize,
     parts: Arc<SeparatorParts>,
     /// Domain start offsets in the renumbering (`k + 1` entries; the
@@ -304,11 +301,11 @@ pub struct ShardedBackend<B: SparseBackend<Scalar = f64> = CsrMatrix> {
     a_ds: Vec<CsrMatrix>,
     /// Separator rows in original column numbering (bit-exact products).
     sep_rows: CsrMatrix,
-    store: DomainStore<B>,
+    store: DomainStore,
     total_nnz: usize,
 }
 
-impl<B: SparseBackend<Scalar = f64>> ShardedBackend<B> {
+impl ShardedBackend {
     /// Builds a sharded backend with explicit options.
     ///
     /// # Errors
@@ -321,8 +318,7 @@ impl<B: SparseBackend<Scalar = f64>> ShardedBackend<B> {
             let DomainStore::InCore(domains) = &backend.store else {
                 unreachable!("in_core construction always yields InCore storage");
             };
-            let csr: Vec<CsrMatrix> = domains.iter().map(SparseBackend::to_csr).collect();
-            let store = SpillStore::create(&csr, opts.spill_dir.as_deref())?;
+            let store = SpillStore::create(domains, opts.spill_dir.as_deref())?;
             backend.store = DomainStore::OutOfCore {
                 store,
                 resident: Mutex::new(None),
@@ -332,8 +328,9 @@ impl<B: SparseBackend<Scalar = f64>> ShardedBackend<B> {
         Ok(backend)
     }
 
-    /// In-core construction; `domains = 0` picks the auto heuristic.
-    fn in_core(a: &CsrMatrix, domains: usize) -> Self {
+    /// In-core construction with `domains` interior domains; `0` picks
+    /// the auto heuristic (one domain per ~64k rows, clamped to 2..=16).
+    pub fn in_core(a: &CsrMatrix, domains: usize) -> Self {
         let n = a.nrows();
         let k = if domains == 0 {
             // One domain per ~64k rows, at least 2, at most 16 — small
@@ -351,13 +348,6 @@ impl<B: SparseBackend<Scalar = f64>> ShardedBackend<B> {
             Err(_) => unreachable!("a partition's renumbering is a permutation"),
         };
         let new_of_old: Vec<u32> = renum.new_of_old().iter().map(|&v| v as u32).collect();
-        let store = DomainStore::InCore(
-            blocks
-                .a_dd
-                .iter()
-                .map(|m| B::from_csr_f64(m))
-                .collect::<Vec<B>>(),
-        );
         ShardedBackend {
             n,
             parts: Arc::new(parts),
@@ -365,7 +355,7 @@ impl<B: SparseBackend<Scalar = f64>> ShardedBackend<B> {
             new_of_old,
             a_ds: blocks.a_ds,
             sep_rows: blocks.sep_rows,
-            store,
+            store: DomainStore::InCore(blocks.a_dd),
             total_nnz: a.nnz(),
         }
     }
@@ -396,7 +386,7 @@ impl<B: SparseBackend<Scalar = f64>> ShardedBackend<B> {
     /// against a monolithic factor's memory.
     pub fn peak_resident_bytes(&self) -> usize {
         match &self.store {
-            DomainStore::InCore(domains) => domains.iter().map(SparseBackend::memory_bytes).sum(),
+            DomainStore::InCore(domains) => domains.iter().map(CsrMatrix::memory_bytes).sum(),
             DomainStore::OutOfCore { peak_resident, .. } => peak_resident.load(Ordering::Relaxed),
         }
     }
@@ -410,7 +400,7 @@ impl<B: SparseBackend<Scalar = f64>> ShardedBackend<B> {
             + self.offsets.len() * std::mem::size_of::<usize>()
     }
 
-    /// Runs `f` with domain `d`'s backend, loading it from disk first in
+    /// Runs `f` with domain `d`'s block, loading it from disk first in
     /// out-of-core mode (evicting whichever domain was resident).
     ///
     /// # Panics
@@ -418,7 +408,7 @@ impl<B: SparseBackend<Scalar = f64>> ShardedBackend<B> {
     /// Panics if an out-of-core spill file cannot be re-read — the
     /// product APIs this feeds have no error channel, and a vanished
     /// spill file means the backend's storage invariant is gone.
-    fn with_domain<R>(&self, d: usize, f: impl FnOnce(&B) -> R) -> R {
+    fn with_domain<R>(&self, d: usize, f: impl FnOnce(&CsrMatrix) -> R) -> R {
         match &self.store {
             DomainStore::InCore(domains) => f(&domains[d]),
             DomainStore::OutOfCore {
@@ -433,11 +423,10 @@ impl<B: SparseBackend<Scalar = f64>> ShardedBackend<B> {
                 let cached = matches!(slot.as_ref(), Some((idx, _)) if *idx == d);
                 if !cached {
                     *slot = None; // evict before loading: one resident max
-                    let csr = match store.load(d) {
+                    let b = match store.load(d) {
                         Ok(m) => m,
                         Err(e) => panic!("sharded backend: spill reload of domain {d} failed: {e}"),
                     };
-                    let b = B::from_csr_f64(&csr);
                     peak_resident.fetch_max(b.memory_bytes(), Ordering::Relaxed);
                     *slot = Some((d, b));
                 }
@@ -496,7 +485,7 @@ impl<B: SparseBackend<Scalar = f64>> ShardedBackend<B> {
     }
 }
 
-impl<B: SparseBackend<Scalar = f64>> Clone for ShardedBackend<B> {
+impl Clone for ShardedBackend {
     fn clone(&self) -> Self {
         let store = match &self.store {
             DomainStore::InCore(domains) => DomainStore::InCore(domains.clone()),
@@ -525,7 +514,7 @@ impl<B: SparseBackend<Scalar = f64>> Clone for ShardedBackend<B> {
     }
 }
 
-impl<B: SparseBackend<Scalar = f64>> fmt::Debug for ShardedBackend<B> {
+impl fmt::Debug for ShardedBackend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ShardedBackend")
             .field("n", &self.n)
@@ -536,21 +525,15 @@ impl<B: SparseBackend<Scalar = f64>> fmt::Debug for ShardedBackend<B> {
     }
 }
 
-impl<B: SparseBackend<Scalar = f64>> SparseBackend for ShardedBackend<B> {
-    type Scalar = f64;
-    const NAME: &'static str = "sharded";
-
-    fn from_csr_f64(a: &CsrMatrix) -> Self {
-        Self::in_core(a, 0)
-    }
-
-    fn to_csr(&self) -> CsrMatrix {
+impl ShardedBackend {
+    /// Reassembles the full matrix in original numbering.
+    pub fn to_csr(&self) -> CsrMatrix {
         // Entry-exact reassembly: every stored value is copied, never
         // recomputed, so the round trip reproduces the input verbatim.
         let mut coo = CooMatrix::with_capacity(self.n, self.n, self.total_nnz);
         for d in 0..self.domain_count() {
             let rows = self.parts.domain(d);
-            let dd = self.with_domain(d, SparseBackend::to_csr);
+            let dd = self.with_domain(d, CsrMatrix::clone);
             for (i, &u) in rows.iter().enumerate() {
                 let (cols, vals) = dd.row(i);
                 for (&c, &v) in cols.iter().zip(vals) {
@@ -571,17 +554,21 @@ impl<B: SparseBackend<Scalar = f64>> SparseBackend for ShardedBackend<B> {
         coo.to_csr()
     }
 
-    fn nrows(&self) -> usize {
+    /// Number of rows.
+    pub fn nrows(&self) -> usize {
         self.n
     }
 
-    fn ncols(&self) -> usize {
+    /// Number of columns.
+    pub fn ncols(&self) -> usize {
         self.n
     }
 
-    fn scalar_nnz(&self) -> usize {
+    /// Number of stored entries across domain blocks, couplings and
+    /// separator rows — the same count as the monolithic matrix.
+    pub fn nnz(&self) -> usize {
         let domain_scalars: usize = match &self.store {
-            DomainStore::InCore(domains) => domains.iter().map(SparseBackend::scalar_nnz).sum(),
+            DomainStore::InCore(domains) => domains.iter().map(CsrMatrix::nnz).sum(),
             DomainStore::OutOfCore { store, .. } => {
                 (0..store.len()).map(|d| store.domain_nnz(d)).sum()
             }
@@ -589,9 +576,11 @@ impl<B: SparseBackend<Scalar = f64>> SparseBackend for ShardedBackend<B> {
         domain_scalars + self.a_ds.iter().map(CsrMatrix::nnz).sum::<usize>() + self.sep_rows.nnz()
     }
 
-    fn memory_bytes(&self) -> usize {
+    /// Approximate heap memory held by the matrix, in bytes: resident
+    /// domain blocks plus couplings, separator rows and renumbering.
+    pub fn memory_bytes(&self) -> usize {
         let resident: usize = match &self.store {
-            DomainStore::InCore(domains) => domains.iter().map(SparseBackend::memory_bytes).sum(),
+            DomainStore::InCore(domains) => domains.iter().map(CsrMatrix::memory_bytes).sum(),
             DomainStore::OutOfCore { resident, .. } => {
                 let slot = match resident.lock() {
                     Ok(g) => g,
@@ -603,7 +592,12 @@ impl<B: SparseBackend<Scalar = f64>> SparseBackend for ShardedBackend<B> {
         resident + self.overhead_bytes()
     }
 
-    fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
+    /// Matrix-vector product `y = A·x` on the calling thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` or `y.len()` differ from the dimension.
+    pub fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.n, "mul_vec: x length mismatch");
         assert_eq!(y.len(), self.n, "mul_vec: y length mismatch");
         if self.n == 0 {
@@ -624,7 +618,21 @@ impl<B: SparseBackend<Scalar = f64>> SparseBackend for ShardedBackend<B> {
         self.scatter(&y_new, y);
     }
 
-    fn par_mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
+    /// Allocating form of [`ShardedBackend::mul_vec_into`].
+    pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
+        let mut y = vec![0.0; self.n];
+        self.mul_vec_into(x, &mut y);
+        y
+    }
+
+    /// Matrix-vector product with one pool lane per domain, bit-for-bit
+    /// identical to [`ShardedBackend::mul_vec_into`] at every worker
+    /// count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` or `y.len()` differ from the dimension.
+    pub fn par_mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
         // Out-of-core residency is a lock around one resident domain —
         // fanning out would serialize on it anyway, so spill mode stays
         // on the caller's thread.
@@ -731,8 +739,8 @@ mod tests {
             .unwrap();
             check_products(&a, &s);
         }
-        // Auto heuristic via the trait constructor.
-        let s: ShardedBackend = SparseBackend::from_csr_f64(&a);
+        // Auto heuristic.
+        let s = ShardedBackend::in_core(&a, 0);
         assert!(s.domain_count() >= 2);
         check_products(&a, &s);
     }
@@ -740,12 +748,12 @@ mod tests {
     #[test]
     fn to_csr_round_trips_exactly() {
         let a = grid(10, 7);
-        let s: ShardedBackend = SparseBackend::from_csr_f64(&a);
+        let s = ShardedBackend::in_core(&a, 0);
         let back = s.to_csr();
         assert_eq!(back.indptr(), a.indptr());
         assert_eq!(back.indices(), a.indices());
         assert_eq!(back.data(), a.data());
-        assert_eq!(s.scalar_nnz(), a.nnz());
+        assert_eq!(s.nnz(), a.nnz());
     }
 
     #[test]
@@ -805,7 +813,7 @@ mod tests {
     #[test]
     fn empty_matrix_is_harmless() {
         let a = CooMatrix::new(0, 0).to_csr();
-        let s: ShardedBackend = SparseBackend::from_csr_f64(&a);
+        let s = ShardedBackend::in_core(&a, 0);
         assert_eq!(s.nrows(), 0);
         assert!(s.mul_vec(&[]).is_empty());
         assert_eq!(s.to_csr().nnz(), 0);
