@@ -19,10 +19,22 @@
 //! path is the serial kernel, so the two rows coincide — the comparison
 //! is only meaningful on multi-core hardware (or under a forced
 //! `SASS_THREADS` override, which skips the crossover).
+//!
+//! The `spmm_k<K>` / `spmv_cols_k<K>` rows compare, at block widths 8 and
+//! 14 (the heat embedding's default probe count on the 10k-vertex
+//! circuit graph), one row-major SpMM (`CsrMatrix::mul_block_into`, which
+//! streams the matrix once for all `K` columns and splits rows across the
+//! pool) against `K` per-column `par_mul_vec_into` calls on a column-major
+//! block — the loop the embedding ran before. Both give the same bits per
+//! column.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use sass_bench::record_simd_provenance;
 use sass_graph::generators::{barabasi_albert, grid2d, WeightModel};
 use sass_sparse::CsrMatrix;
+
+/// Block widths of the SpMM-vs-column-loop rows.
+const BLOCK_WIDTHS: [usize; 2] = [8, 14];
 
 fn workloads() -> Vec<(String, CsrMatrix)> {
     let mut out = Vec::new();
@@ -38,6 +50,7 @@ fn workloads() -> Vec<(String, CsrMatrix)> {
 }
 
 fn bench_spmv(c: &mut Criterion) {
+    record_simd_provenance("spmv");
     let mut group = c.benchmark_group("spmv");
     group.sample_size(30);
     for (name, l) in workloads() {
@@ -52,6 +65,34 @@ fn bench_spmv(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("parallel", &name), &l, |b, l| {
             b.iter(|| l.par_mul_vec_into(&x, &mut y))
         });
+        let n = l.nrows();
+        for k in BLOCK_WIDTHS {
+            // The same k columns in both layouts.
+            let xcols: Vec<f64> = (0..n * k)
+                .map(|q| (((q % n) * 37 % 101) as f64) - 50.0 + (q / n) as f64)
+                .collect();
+            let mut xrows = vec![0.0; n * k];
+            for c in 0..k {
+                for i in 0..n {
+                    xrows[i * k + c] = xcols[c * n + i];
+                }
+            }
+            let mut yb = vec![0.0; n * k];
+            group.bench_with_input(
+                BenchmarkId::new(format!("spmv_cols_k{k}"), &name),
+                &l,
+                |b, l| {
+                    b.iter(|| {
+                        for (xc, yc) in xcols.chunks_exact(n).zip(yb.chunks_exact_mut(n)) {
+                            l.par_mul_vec_into(xc, yc);
+                        }
+                    })
+                },
+            );
+            group.bench_with_input(BenchmarkId::new(format!("spmm_k{k}"), &name), &l, |b, l| {
+                b.iter(|| l.mul_block_into(&xrows, &mut yb, k))
+            });
+        }
     }
     group.finish();
 }

@@ -13,6 +13,10 @@
 //! (summed over the `r` probes), therefore ranks edges by how strongly they
 //! interact with the dominant generalized eigenvalues — the edges whose
 //! recovery most reduces `λmax` (paper Eq. 6).
+//!
+//! The `r` probes step together as one row-major block: one SpMM with
+//! `L_G` and one blocked grounded solve per power step, for all probes at
+//! once (see [`off_tree_heat`]).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -25,10 +29,6 @@ use sass_sparse::{dense, kernel, pool, CsrMatrix, DenseBlock};
 const MIN_PAR_HEAT_EDGES: usize = 8_192;
 /// Off-tree edges per pool lane above the crossover.
 const HEAT_EDGES_PER_WORKER: usize = 4_096;
-/// Minimum `n × r` work for parallelizing the per-column power-step
-/// products over probe columns.
-const MIN_PAR_PROBE_WORK: usize = 65_536;
-
 /// Per-edge Joule heat of the off-tree edges, plus the probe vectors'
 /// final iterates (useful for diagnostics and the GSP crate).
 #[derive(Debug, Clone)]
@@ -58,20 +58,23 @@ impl OffTreeHeat {
 /// normalized per step for floating-point safety, which rescales all heats
 /// of one probe uniformly and leaves normalized heats unchanged.
 ///
-/// All `r` probes advance together as one [`DenseBlock`]: each power step
-/// applies `L_G` per column and then performs one *blocked* grounded solve
-/// ([`GroundedSolver::solve_block_into_scratch`]), so the sparsifier factor
-/// is streamed once per block of probes instead of once per probe — the
-/// multi-RHS amortization the sparsifier itself is built to exploit.
+/// All `r` probes advance together as one row-major block (entry `i` of
+/// probe `c` at `h[i·r + c]`): each power step is one sparse × block
+/// product with `L_G` ([`CsrMatrix::mul_block_into`], which streams
+/// `L_G`'s indices and values once for all probes) followed by one
+/// *blocked* grounded solve
+/// ([`GroundedSolver::solve_interleaved_into_scratch`]), so both the graph
+/// and the sparsifier factor are streamed once per block of probes
+/// instead of once per probe — the multi-RHS amortization the sparsifier
+/// itself is built to exploit.
 ///
 /// Above a size crossover (or always, under an explicit `SASS_THREADS` /
-/// [`sass_sparse::pool::set_threads`] override) the per-column power-step
-/// products and the per-edge Joule-heat accumulation are spread over the
-/// persistent worker pool, and the triangular sweeps inside each blocked
-/// grounded solve run level-parallel over the sparsifier factor's
-/// elimination tree. Every kernel preserves the serial loop's
-/// floating-point association exactly, so heats are bit-for-bit identical
-/// at every worker count.
+/// [`sass_sparse::pool::set_threads`] override) the SpMM rows and the
+/// per-edge Joule-heat accumulation are spread over the persistent worker
+/// pool, and the triangular sweeps inside each blocked grounded solve
+/// dispatch the heavy levels of the sparsifier factor's elimination tree.
+/// Every kernel preserves the serial per-column floating-point sequence
+/// exactly, so heats are bit-for-bit identical at every worker count.
 ///
 /// Deterministic in `seed`.
 ///
@@ -117,6 +120,10 @@ pub fn off_tree_heat(
 /// The probe iterates alone: `r` seeded random vectors advanced `t`
 /// generalized power steps, returned as an `n × r` [`DenseBlock`].
 ///
+/// The steps run on a row-major copy of the probes (see
+/// [`off_tree_heat`]); the result is transposed into the column-major
+/// block once, at the end.
+///
 /// This is the expensive, *graph-global* half of [`off_tree_heat`] — the
 /// incremental sparsifier caches it as a **frozen scoring basis** and
 /// re-evaluates only [`heat_from_embedding`] (a pure per-edge function)
@@ -141,41 +148,28 @@ pub fn probe_embedding(
     if n == 0 {
         return DenseBlock::zeros(0, r);
     }
-    // Probe initialization draws in probe order, so results are identical
-    // to the historical one-probe-at-a-time loop for any given seed.
-    let mut h = DenseBlock::zeros(n, r);
-    for col in h.columns_mut() {
-        for hi in col.iter_mut() {
-            *hi = rng.gen_range(-1.0f64..1.0);
+    // Row-major probes (`hr[i·r + c]`). Initialization draws in probe
+    // order, so results are identical to the historical
+    // one-probe-at-a-time loop for any given seed.
+    let mut hr = vec![0.0f64; n * r];
+    for c in 0..r {
+        for i in 0..n {
+            hr[i * r + c] = rng.gen_range(-1.0f64..1.0);
         }
-        dense::center(col);
-        dense::normalize(col);
     }
-    let mut tmp = DenseBlock::zeros(n, r);
+    dense::center_columns(&mut hr, r);
+    dense::normalize_columns(&mut hr, r);
+    let mut tmp = vec![0.0f64; n * r];
     let mut scratch = GroundedScratch::new();
-    let p = pool::Pool::global();
-    // One probe column per work item: each lane runs the serial SpMV
-    // kernel on its own columns, so the block product is bit-identical to
-    // the column-by-column loop at any worker count.
-    let col_workers = p
-        .workers_for(n * r, MIN_PAR_PROBE_WORK, MIN_PAR_PROBE_WORK)
-        .min(r);
-    let col_spans = pool::even_spans(r, col_workers);
     for _step in 0..t {
-        p.parallel_for_disjoint_mut(
-            tmp.data_mut(),
-            &pool::scale_spans(&col_spans, n),
-            |s, chunk| {
-                let (clo, chi) = col_spans[s];
-                for (k, tcol) in chunk.chunks_exact_mut(n).enumerate() {
-                    debug_assert!(clo + k < chi);
-                    lg.mul_vec_into(h.col(clo + k), tcol);
-                }
-            },
-        );
-        solver_p.solve_block_into_scratch(&tmp, &mut h, &mut scratch);
-        for col in h.columns_mut() {
-            dense::normalize(col);
+        lg.mul_block_into(&hr, &mut tmp, r);
+        solver_p.solve_interleaved_into_scratch(&tmp, &mut hr, r, &mut scratch);
+        dense::normalize_columns(&mut hr, r);
+    }
+    let mut h = DenseBlock::zeros(n, r);
+    for (c, col) in h.columns_mut().enumerate() {
+        for (i, v) in col.iter_mut().enumerate() {
+            *v = hr[i * r + c];
         }
     }
     h

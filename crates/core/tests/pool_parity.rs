@@ -1,8 +1,8 @@
 //! Cross-worker-count parity for the pool-routed pipeline kernels.
 //!
 //! Every parallel kernel in the sparsification pipeline — Joule-heat
-//! embedding, heat filtering, and the grounded solver's blocked column
-//! passes — must produce **bit-for-bit identical** results at any worker
+//! embedding, heat filtering, and the grounded solver's blocked solves —
+//! must produce **bit-for-bit identical** results at any worker
 //! count. `pool::set_threads` is a standing override that skips the
 //! per-kernel size crossovers, so even the small graphs generated here go
 //! through real multi-lane dispatch on the persistent pool.

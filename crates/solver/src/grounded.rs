@@ -1,14 +1,6 @@
 use crate::{Result, SolverError};
 use sass_sparse::ordering::OrderingKind;
-use sass_sparse::{dense, pool, CsrMatrix, DenseBlock, LdlFactor, SparseError};
-
-/// Minimum `n × ncols` work before the blocked solve's per-column
-/// centering/mean-zero passes go parallel under automatic pool sizing (an
-/// explicit `SASS_THREADS` / `pool::set_threads` override skips the
-/// crossover). The triangular factor solves carry their own crossover
-/// inside [`LdlFactor`]: they run level-parallel over the elimination
-/// tree once the factor is big and bushy enough.
-const MIN_PAR_BLOCK_WORK: usize = 32_768;
+use sass_sparse::{dense, CsrMatrix, DenseBlock, LdlFactor, SparseError};
 
 /// Exact solver for (connected) graph-Laplacian systems via *grounding*.
 ///
@@ -300,8 +292,8 @@ impl GroundedSolver {
     /// Right-hand sides are processed in blocks of
     /// [`sass_sparse::LDL_BLOCK_WIDTH`] columns: one sweep over the LDLᵀ
     /// factor's indices advances the whole block, so factor traffic is paid
-    /// once per block instead of once per vector. Results agree with
-    /// per-RHS [`GroundedSolver::solve`] to floating-point sign-of-zero.
+    /// once per block instead of once per vector. Results are
+    /// bit-identical to per-RHS [`GroundedSolver::solve`].
     ///
     /// # Panics
     ///
@@ -359,19 +351,12 @@ impl GroundedSolver {
         for x in out.iter() {
             assert_eq!(x.len(), self.n, "solve_many: output length mismatch");
         }
-        let mut bin = std::mem::take(&mut scratch.bin);
-        bin.reshape(self.n, rhs.len());
-        for (col, b) in bin.columns_mut().zip(rhs) {
-            col.copy_from_slice(b);
-        }
-        let mut bout = std::mem::take(&mut scratch.bout);
-        bout.reshape(self.n, rhs.len());
-        self.solve_block_into_scratch(&bin, &mut bout, scratch);
-        for (x, col) in out.iter_mut().zip(bout.columns()) {
-            x.copy_from_slice(col);
-        }
-        scratch.bin = bin;
-        scratch.bout = bout;
+        self.solve_columns(
+            rhs.len(),
+            rhs.iter().map(Vec::as_slice),
+            out.iter_mut().map(Vec::as_mut_slice),
+            scratch,
+        );
     }
 
     /// Solves `L X = center(B)` column-wise for a block of right-hand
@@ -392,7 +377,9 @@ impl GroundedSolver {
     }
 
     /// [`GroundedSolver::solve_block`] into a caller-provided block with
-    /// caller-owned scratch.
+    /// caller-owned scratch. Each column gets the same bits as
+    /// [`GroundedSolver::solve_interleaved_into_scratch`] and a single
+    /// [`GroundedSolver::solve_into_scratch`].
     ///
     /// # Panics
     ///
@@ -406,83 +393,112 @@ impl GroundedSolver {
         assert_eq!(b.nrows(), self.n, "solve_block: b row-count mismatch");
         assert_eq!(x.nrows(), self.n, "solve_block: x row-count mismatch");
         assert_eq!(x.ncols(), b.ncols(), "solve_block: column-count mismatch");
-        if b.ncols() == 0 {
+        self.solve_columns(b.ncols(), b.columns(), x.columns_mut(), scratch);
+    }
+
+    /// The column-wise entry points' pack adapter over the factor's
+    /// interleaved solve: each right-hand-side column is centered and
+    /// scattered (ground row elided) straight into the row-major reduced
+    /// block, and each solution column is gathered back with the ground
+    /// re-inserted and centered — the per-column arithmetic of
+    /// [`GroundedSolver::solve_into_scratch`], so every column keeps its
+    /// bits (callers check lengths).
+    fn solve_columns<'a, 'b>(
+        &self,
+        k: usize,
+        rhs: impl Iterator<Item = &'a [f64]>,
+        out: impl Iterator<Item = &'b mut [f64]>,
+        scratch: &mut GroundedScratch,
+    ) {
+        let g = self.ground;
+        scratch.rb.resize((self.n - 1) * k, 0.0);
+        for (c, col) in rhs.enumerate() {
+            let mean = dense::mean(col);
+            for (i, &v) in col[..g].iter().chain(&col[g + 1..]).enumerate() {
+                scratch.rb[i * k + c] = v - mean;
+            }
+        }
+        scratch.rx.resize((self.n - 1) * k, 0.0);
+        self.factor.solve_interleaved_into_scratch(
+            &scratch.rb,
+            &mut scratch.rx,
+            k,
+            &mut scratch.work,
+        );
+        for (c, col) in out.enumerate() {
+            let (head, tail) = col.split_at_mut(g);
+            tail[0] = 0.0;
+            for (i, xi) in head.iter_mut().chain(&mut tail[1..]).enumerate() {
+                *xi = scratch.rx[i * k + c];
+            }
+            dense::center(col);
+        }
+    }
+
+    /// Solves `L X = center(B)` for a **row-major** block of `ncols`
+    /// right-hand sides (`b[i·ncols + c]` is entry `i` of column `c`),
+    /// writing the mean-zero solutions `L⁺ B` to `x` in the same layout.
+    ///
+    /// Every column gets exactly the per-column arithmetic of
+    /// [`GroundedSolver::solve_into_scratch`] — centering, ground-row
+    /// elision, the LDLᵀ sweeps, ground re-insertion and the mean-zero
+    /// projection — so each column is bit-identical to a single solve.
+    /// In this layout the centering and ground passes are contiguous row
+    /// copies, and the factor packs its permuted chunks row by row
+    /// ([`LdlFactor::solve_interleaved_into_scratch`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len()` or `x.len()` differs from `n() · ncols`.
+    pub fn solve_interleaved_into_scratch(
+        &self,
+        b: &[f64],
+        x: &mut [f64],
+        ncols: usize,
+        scratch: &mut GroundedScratch,
+    ) {
+        assert_eq!(
+            b.len(),
+            self.n * ncols,
+            "solve_interleaved: b length mismatch"
+        );
+        assert_eq!(
+            x.len(),
+            self.n * ncols,
+            "solve_interleaved: x length mismatch"
+        );
+        if ncols == 0 {
             return;
         }
         let rn = self.n - 1;
-        let ncols = b.ncols();
-        // Columns are independent in both dense passes, so they spread
-        // over the worker pool above a size crossover; each column runs
-        // the exact serial per-column code, keeping the blocked solve
-        // bit-identical to the scalar path at any worker count.
-        let p = pool::Pool::global();
-        let workers = if rn == 0 {
-            1
-        } else {
-            p.workers_for(self.n * ncols, MIN_PAR_BLOCK_WORK, MIN_PAR_BLOCK_WORK)
-                .min(ncols)
-        };
-        let col_spans = pool::even_spans(ncols, workers);
-        // Reduced right-hand sides: centered, ground row elided — the same
-        // per-column convention as the scalar path, vectorized.
-        let fill_rcol = |rcol: &mut [f64], bcol: &[f64]| {
-            let mean = dense::mean(bcol);
-            let mut k = 0;
-            for (i, &bi) in bcol.iter().enumerate() {
-                if i != self.ground {
-                    rcol[k] = bi - mean;
-                    k += 1;
-                }
+        // Reduced right-hand sides: centered, ground row elided.
+        let means = dense::column_means(b, ncols);
+        let g = self.ground * ncols;
+        let kept = b[..g]
+            .chunks_exact(ncols)
+            .chain(b[g + ncols..].chunks_exact(ncols));
+        scratch.rb.resize(rn * ncols, 0.0);
+        for (dst, src) in scratch.rb.chunks_exact_mut(ncols).zip(kept) {
+            for ((d, &v), m) in dst.iter_mut().zip(src).zip(&means) {
+                *d = v - m;
             }
-        };
-        let rb = &mut scratch.rb_block;
-        rb.reshape(rn, ncols);
-        if workers <= 1 {
-            for (rcol, bcol) in rb.columns_mut().zip(b.columns()) {
-                fill_rcol(rcol, bcol);
-            }
-        } else {
-            let scaled = pool::scale_spans(&col_spans, rn);
-            p.parallel_for_disjoint_mut(rb.data_mut(), &scaled, |s, chunk| {
-                let clo = col_spans[s].0;
-                for (k, rcol) in chunk.chunks_exact_mut(rn).enumerate() {
-                    fill_rcol(rcol, b.col(clo + k));
-                }
-            });
         }
-        let rx = &mut scratch.rx_block;
-        rx.reshape(rn, ncols);
-        self.factor
-            .solve_block_into_scratch(&scratch.rb_block, rx, &mut scratch.work);
+        scratch.rx.resize(rn * ncols, 0.0);
+        self.factor.solve_interleaved_into_scratch(
+            &scratch.rb,
+            &mut scratch.rx,
+            ncols,
+            &mut scratch.work,
+        );
         // Re-insert the ground row as zero and project each solution onto
         // mean-zero (the canonical pseudoinverse representative).
-        let store_xcol = |xcol: &mut [f64], rcol: &[f64]| {
-            let mut k = 0;
-            for (i, xi) in xcol.iter_mut().enumerate() {
-                if i == self.ground {
-                    *xi = 0.0;
-                } else {
-                    *xi = rcol[k];
-                    k += 1;
-                }
-            }
-            dense::center(xcol);
-        };
-        let rx = &scratch.rx_block;
-        if workers <= 1 {
-            for (xcol, rcol) in x.columns_mut().zip(rx.columns()) {
-                store_xcol(xcol, rcol);
-            }
-        } else {
-            let n = self.n;
-            let scaled = pool::scale_spans(&col_spans, n);
-            p.parallel_for_disjoint_mut(x.data_mut(), &scaled, |s, chunk| {
-                let clo = col_spans[s].0;
-                for (k, xcol) in chunk.chunks_exact_mut(n).enumerate() {
-                    store_xcol(xcol, rx.col(clo + k));
-                }
-            });
-        }
+        let (head, tail) = x.split_at_mut(self.ground * ncols);
+        let (xg, tail) = tail.split_at_mut(ncols);
+        let (rx_head, rx_tail) = scratch.rx.split_at(self.ground * ncols);
+        head.copy_from_slice(rx_head);
+        xg.fill(0.0);
+        tail.copy_from_slice(rx_tail);
+        dense::center_columns(x, ncols);
     }
 
     /// In-place variant of [`GroundedSolver::solve`].
@@ -539,13 +555,12 @@ impl GroundedSolver {
 /// resize lazily); keep it per call site, not shared across threads.
 #[derive(Debug, Clone, Default)]
 pub struct GroundedScratch {
+    /// Reduced (ground-elided, centered) right-hand sides, row-major.
     rb: Vec<f64>,
+    /// Reduced solutions, row-major.
     rx: Vec<f64>,
+    /// The factor's permuted chunk buffer.
     work: Vec<f64>,
-    rb_block: DenseBlock,
-    rx_block: DenseBlock,
-    bin: DenseBlock,
-    bout: DenseBlock,
 }
 
 impl GroundedScratch {
@@ -670,6 +685,45 @@ mod tests {
                         "ncols={ncols} col={c}: {bx} vs {sx}"
                     );
                 }
+            }
+        }
+    }
+
+    /// The interleaved entry point (and the `DenseBlock` adapter over it)
+    /// must give each column exactly the bits of a single
+    /// `solve_into_scratch`: widths straddle the LDL chunk width, and the
+    /// ground vertex sits mid-block so its row elision is exercised.
+    #[test]
+    fn interleaved_solve_bit_identical_to_single_solves() {
+        let g = grid2d(9, 7, WeightModel::Uniform { lo: 0.5, hi: 2.0 }, 5);
+        let l = g.laplacian();
+        let n = g.n();
+        let s = GroundedSolver::with_ground(&l, 23, OrderingKind::MinDegree).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut scratch = GroundedScratch::new();
+        for ncols in [1usize, 7, 8, 9, 14, 33] {
+            let cols: Vec<Vec<f64>> = (0..ncols)
+                .map(|c| {
+                    (0..n)
+                        .map(|i| ((i * (2 * c + 3)) as f64 * 0.17).cos() + 0.1 * c as f64)
+                        .collect()
+                })
+                .collect();
+            let mut b = vec![0.0; n * ncols];
+            for (c, col) in cols.iter().enumerate() {
+                for (i, &v) in col.iter().enumerate() {
+                    b[i * ncols + c] = v;
+                }
+            }
+            let mut x = vec![f64::NAN; n * ncols];
+            s.solve_interleaved_into_scratch(&b, &mut x, ncols, &mut scratch);
+            let blocked = s.solve_block(&sass_sparse::DenseBlock::from_columns(&cols));
+            for (c, col) in cols.iter().enumerate() {
+                let mut single = vec![0.0; n];
+                s.solve_into_scratch(col, &mut single, &mut scratch);
+                let got: Vec<f64> = (0..n).map(|i| x[i * ncols + c]).collect();
+                assert_eq!(bits(&got), bits(&single), "ncols={ncols} col={c}");
+                assert_eq!(bits(blocked.col(c)), bits(&single), "adapter ncols={ncols}");
             }
         }
     }

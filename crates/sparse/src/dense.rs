@@ -93,6 +93,82 @@ pub fn normalize(x: &mut [f64]) -> f64 {
     n
 }
 
+/// Per-column sums of `f(x)` over a row-major block of `ncols` columns,
+/// each column added in row order from `Iterator::sum`'s identity (`-0.0`),
+/// so a column's sum has the bits `Iterator::sum` gives on that column.
+fn column_sums(x: &[f64], ncols: usize, f: impl Fn(f64) -> f64) -> Vec<f64> {
+    assert!(
+        ncols > 0 && x.len().is_multiple_of(ncols),
+        "column pass: ragged row-major block"
+    );
+    let mut acc = vec![-0.0; ncols];
+    for row in x.chunks_exact(ncols) {
+        for (a, &v) in acc.iter_mut().zip(row) {
+            *a += f(v);
+        }
+    }
+    acc
+}
+
+/// Per-column [`mean`] of a row-major block: `x[i·ncols + c]` is row `i`
+/// of column `c`. Bit-identical to [`mean`] on each column.
+///
+/// # Panics
+///
+/// Panics if `ncols == 0` or `x.len()` is not a multiple of `ncols`.
+pub fn column_means(x: &[f64], ncols: usize) -> Vec<f64> {
+    let mut sums = column_sums(x, ncols, |v| v);
+    let nrows = x.len() / ncols;
+    if nrows == 0 {
+        return vec![0.0; ncols];
+    }
+    for s in &mut sums {
+        *s /= nrows as f64;
+    }
+    sums
+}
+
+/// [`center`] applied to every column of a row-major block of `ncols`
+/// columns, bit-identical to centering each column on its own.
+///
+/// # Panics
+///
+/// Panics if `ncols == 0` or `x.len()` is not a multiple of `ncols`.
+pub fn center_columns(x: &mut [f64], ncols: usize) {
+    let means = column_means(x, ncols);
+    for row in x.chunks_exact_mut(ncols) {
+        for (v, m) in row.iter_mut().zip(&means) {
+            *v -= m;
+        }
+    }
+}
+
+/// [`normalize`] applied to every column of a row-major block of `ncols`
+/// columns, bit-identical to normalizing each column on its own (a zero
+/// column is left untouched).
+///
+/// # Panics
+///
+/// Panics if `ncols == 0` or `x.len()` is not a multiple of `ncols`.
+pub fn normalize_columns(x: &mut [f64], ncols: usize) {
+    let scales: Vec<f64> = column_sums(x, ncols, |v| v * v)
+        .into_iter()
+        .map(|ss| {
+            let n = ss.sqrt();
+            if n > 0.0 {
+                1.0 / n
+            } else {
+                1.0
+            }
+        })
+        .collect();
+    for row in x.chunks_exact_mut(ncols) {
+        for (v, s) in row.iter_mut().zip(&scales) {
+            *v *= s;
+        }
+    }
+}
+
 /// Makes `x` orthogonal to the (not necessarily normalized) vector `q`.
 ///
 /// Computes `x ← x − ((qᵀx)/(qᵀq)) q`. No-op when `q` is zero.
@@ -134,6 +210,45 @@ mod tests {
         assert_eq!(dot(&x, &x), 25.0);
         assert_eq!(norm2(&x), 5.0);
         assert_eq!(norm_inf(&[-7.0, 2.0]), 7.0);
+    }
+
+    /// Interleaves `cols` into one row-major block.
+    fn interleave(cols: &[Vec<f64>]) -> Vec<f64> {
+        let n = cols[0].len();
+        (0..n * cols.len())
+            .map(|q| cols[q % cols.len()][q / cols.len()])
+            .collect()
+    }
+
+    #[test]
+    fn column_passes_match_per_column_bitwise() {
+        // A live column, an all-(−0.0) column (the sign of its mean is
+        // `Iterator::sum`'s identity) and an all-zero column (normalize
+        // must leave it alone).
+        let cols = vec![
+            (0..7)
+                .map(|i| (i as f64 * 0.9).sin() * 3.0 + 0.1)
+                .collect::<Vec<_>>(),
+            vec![-0.0; 7],
+            vec![0.0; 7],
+        ];
+        let mut block = interleave(&cols);
+        let means = column_means(&block, 3);
+        let want: Vec<f64> = cols.iter().map(|c| mean(c)).collect();
+        assert_eq!(
+            means.iter().map(|m| m.to_bits()).collect::<Vec<_>>(),
+            want.iter().map(|m| m.to_bits()).collect::<Vec<_>>()
+        );
+        center_columns(&mut block, 3);
+        normalize_columns(&mut block, 3);
+        let mut want = cols.clone();
+        for c in &mut want {
+            center(c);
+            normalize(c);
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&block), bits(&interleave(&want)));
+        assert_eq!(column_means(&[], 2), vec![0.0, 0.0]);
     }
 
     #[test]

@@ -106,9 +106,9 @@ impl LevelSchedule {
         self.max_width
     }
 
-    /// Mean columns per level, rounded down — the schedule-wide
-    /// parallelism proxy the serial/parallel crossover consults (a path
-    /// etree has average width 1, a star all-but-one column in level 0).
+    /// Mean columns per level, rounded down — a schedule-wide
+    /// parallelism proxy (a path etree has average width 1, a star
+    /// all-but-one column in level 0).
     pub fn avg_width(&self) -> usize {
         self.cols.len() / self.level_count().max(1)
     }

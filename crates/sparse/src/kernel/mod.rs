@@ -232,6 +232,40 @@ pub fn spmv_range_f64(
     scalar::spmv_range(indptr, indices, data, x, y, lo, hi)
 }
 
+/// CSR × row-major block over rows `lo..hi` of an f64 matrix: `x` holds
+/// `k` interleaved columns (`x[j·k + c]`) and `y[(i − lo)·k + c]` receives
+/// `Σ data[p]·x[indices[p]·k + c]` for `p` in row `i`. Every lane is
+/// bit-identical to [`spmv_range_f64`] on that column: it starts at `0.0`
+/// and adds the row's products in stored order, with no FMA.
+///
+/// Scalar at every tier, for the reason [`spmv_range_f64`] gives; the
+/// `k` lanes of one entry are independent, so the compiler vectorizes
+/// across them without reordering any lane's sum.
+///
+/// # Panics
+///
+/// Panics if `k == 0`, or (via safe indexing) if the CSR arrays are
+/// inconsistent, a column index reaches past `x`, or `y` is shorter than
+/// `(hi − lo)·k`.
+#[allow(clippy::too_many_arguments)]
+pub fn spmm_range_f64(
+    indptr: &[usize],
+    indices: &[u32],
+    data: &[f64],
+    x: &[f64],
+    y: &mut [f64],
+    k: usize,
+    lo: usize,
+    hi: usize,
+) {
+    assert!(k > 0, "spmm: block width must be positive");
+    assert!(
+        y.len() >= (hi - lo) * k,
+        "spmm: output shorter than the rows"
+    );
+    scalar::spmm_range(indptr, indices, data, x, y, k, lo, hi)
+}
+
 /// One 8-wide interleaved LDLᵀ sweep update: `acc[c] -= rx[p]·w[ri[p]·8 + c]`
 /// for every stored entry, in stored order. Bit-identical to the scalar
 /// loop at every level (rounded multiply then rounded subtract per lane;
@@ -359,6 +393,23 @@ mod tests {
         let mut part = vec![0.0; 2];
         spmv_range_f64(&indptr, &indices, &data, &x, &mut part, 2, 4);
         assert_eq!(part, want[2..4], "level {:?}", active());
+    }
+
+    #[test]
+    fn spmm_lanes_match_spmv_bitwise() {
+        let (indptr, indices, data) = toy_csr();
+        for k in [1usize, 3, 8, 14] {
+            let x: Vec<f64> = (0..6 * k).map(|i| (i as f64 * 0.37).cos() - 0.2).collect();
+            let mut y = vec![f64::NAN; 5 * k];
+            spmm_range_f64(&indptr, &indices, &data, &x, &mut y, k, 0, 5);
+            for c in 0..k {
+                let xc: Vec<f64> = (0..6).map(|j| x[j * k + c]).collect();
+                let mut want = vec![0.0; 5];
+                spmv_range_f64(&indptr, &indices, &data, &xc, &mut want, 0, 5);
+                let got: Vec<f64> = (0..5).map(|i| y[i * k + c]).collect();
+                assert_eq!(got, want, "k = {k}, column {c}");
+            }
+        }
     }
 
     #[test]

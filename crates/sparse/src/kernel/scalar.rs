@@ -32,6 +32,34 @@ pub(super) fn spmv_range(
     }
 }
 
+/// CSR × row-major block over rows `lo..hi`: `y[(i − lo)·k + c] =
+/// Σ data[p]·x[indices[p]·k + c]`. Each lane starts at `0.0` and adds the
+/// row's products in stored order — the same rounded operations as
+/// [`spmv_range`] on column `c`, with one pass over the row's entries for
+/// all `k` lanes.
+#[allow(clippy::too_many_arguments)]
+pub(super) fn spmm_range(
+    indptr: &[usize],
+    indices: &[u32],
+    data: &[f64],
+    x: &[f64],
+    y: &mut [f64],
+    k: usize,
+    lo: usize,
+    hi: usize,
+) {
+    for (i, yi) in (lo..hi).zip(y.chunks_exact_mut(k)) {
+        yi.fill(0.0);
+        for p in indptr[i]..indptr[i + 1] {
+            let a = data[p];
+            let xj = &x[indices[p] as usize * k..][..k];
+            for (acc, &xv) in yi.iter_mut().zip(xj) {
+                *acc += a * xv;
+            }
+        }
+    }
+}
+
 /// One 8-wide interleaved LDLᵀ row update: `acc[c] -= l·w[i·8 + c]` for
 /// every stored entry `(i, l)`, entries in stored order, lanes
 /// independent.

@@ -14,24 +14,37 @@ use std::cell::RefCell;
 /// monomorphized so the per-row inner loop unrolls completely.
 pub const LDL_BLOCK_WIDTH: usize = 8;
 
-/// Minimum factor work (`nnz(L) + n`, scaled by right-hand-side count for
-/// blocked solves) before a triangular sweep leaves the flat serial loops
-/// for the level-scheduled parallel path under automatic pool sizing. A
-/// standing `SASS_THREADS` / [`pool::set_threads`] override skips the
-/// crossover, as everywhere in the workspace.
-const PAR_SOLVE_MIN_WORK: usize = 50_000;
+/// Minimum work of one elimination-tree level, in factor entries (`+1`
+/// per column) times right-hand sides, before a triangular sweep
+/// dispatches that level to the pool; lighter levels run inline on the
+/// caller, and a factor whose heaviest level is lighter runs the flat
+/// serial sweeps. This per-level gate is the only dispatch rule of the
+/// sweeps under automatic pool sizing. The work number is the level's
+/// `wprefix` total, which the span balancing computes anyway; a standing
+/// `SASS_THREADS` / [`pool::set_threads`] override fans out every level
+/// (see [`level_fans_out`]), so the parity and race-check suites keep
+/// exercising real dispatch.
+///
+/// Each dispatch is a job publication, a condvar wake and a join, and an
+/// etree's levels are skewed: leaf levels hold thousands of columns, most
+/// upper levels one or two. Set from a threshold sweep of the 8-column
+/// blocked solve under automatic sizing on a 2-core x86-64 host, on six
+/// factors from a 2.3k-column near-tree sparsifier to a 300 × 300 grid
+/// (n = 90k, nnz(L) = 2.7M): at every threshold that let any level fan
+/// out, automatic sizing lost to one lane (1.04–3.3×; on the grid even
+/// its single heaviest level, fanned out alone, cost 1.25×). This is the
+/// smallest power of two at which no level of those factors fans out, so
+/// level scheduling is effectively off under automatic sizing on such
+/// hosts; a factor with a heavier level still fans that level out.
+const PAR_LEVEL_MIN_WORK: usize = 2_097_152;
 
-/// Minimum `nnz(L)` before the numeric factorization goes level-parallel
-/// under automatic pool sizing (per-column work is much higher than a
-/// solve's, so the crossover sits lower).
-const PAR_FACTOR_MIN_NNZ: usize = 10_000;
-
-/// Minimum *average* elimination-tree level width for level scheduling to
-/// pay off under automatic sizing: near-tree factors — the sparsifiers
-/// this workspace exists to build — have deep, narrow etrees whose levels
-/// would each dispatch a handful of columns, so they keep the flat serial
-/// sweeps (and their current latency).
-const PAR_MIN_AVG_WIDTH: usize = 4;
+/// [`PAR_LEVEL_MIN_WORK`] for the numeric factorization, in `L` row
+/// entries (`+1` per column) of the level. Set from the same sweep: fanned
+/// out, the numeric phase never beat one lane beyond the host's noise
+/// (per-pair median ratios 0.95–1.05 on the grids, 1.15–1.31 on the
+/// near-tree sparsifiers with every level fanned out), and this is the
+/// smallest power of two at which no level of the swept factors fans out.
+const PAR_FACTOR_LEVEL_MIN_WORK: usize = 65_536;
 
 thread_local! {
     /// Per-thread work buffer backing the non-scratch solve entry points:
@@ -185,6 +198,10 @@ struct SweepWeights {
     fwd: Vec<usize>,
     bwd: Vec<usize>,
     seg: Vec<usize>,
+    /// The heaviest level's total (forward or backward): when even it
+    /// stays under [`PAR_LEVEL_MIN_WORK`] no level would fan out, and the
+    /// flat serial sweeps run instead of the level walk.
+    max_level: usize,
 }
 
 impl SweepWeights {
@@ -379,7 +396,7 @@ impl NumericCtx<'_> {
 
 /// Numeric phase over the level schedule: levels ascend, each level's
 /// columns spread across the pool (weighted by row length) or run inline
-/// below the crossover.
+/// below [`PAR_FACTOR_LEVEL_MIN_WORK`].
 ///
 /// Returns `Err(k)` with the *permuted* index of the first failing pivot —
 /// the smallest failing column of the earliest failing level, which is
@@ -398,14 +415,8 @@ fn numeric_phase(
 ) -> std::result::Result<(), usize> {
     let n = parent.len();
     let p = pool::Pool::global();
-    let lanes = {
-        let w = p.workers_for(rx.len(), PAR_FACTOR_MIN_NNZ, PAR_FACTOR_MIN_NNZ);
-        if w > 1 && (p.is_forced() || schedule.avg_width() >= PAR_MIN_AVG_WIDTH) {
-            w.min(schedule.max_width()).max(1)
-        } else {
-            1
-        }
-    };
+    let heaviest = heaviest_level(schedule, |k| rnz[k] + 1);
+    let lanes = level_lanes(p, heaviest, PAR_FACTOR_LEVEL_MIN_WORK, schedule.max_width());
     #[cfg(feature = "race-check")]
     let level_of = level_map(schedule, n);
     let ctx = NumericCtx {
@@ -422,7 +433,21 @@ fn numeric_phase(
     let mut wprefix: Vec<usize> = Vec::with_capacity(schedule.max_width() + 1);
     for lvl in 0..schedule.level_count() {
         let cols = schedule.level(lvl);
-        let lanes_here = lanes.min(cols.len());
+        // Weighted spans: row length (plus the walk) approximates each
+        // column's numeric cost well enough to balance skewed levels, and
+        // the total gates the dispatch.
+        wprefix.clear();
+        wprefix.push(0);
+        let mut acc = 0usize;
+        for &k in cols {
+            acc += rnz[k as usize] + 1;
+            wprefix.push(acc);
+        }
+        let lanes_here = if level_fans_out(acc, PAR_FACTOR_LEVEL_MIN_WORK, p.is_forced()) {
+            lanes.min(cols.len())
+        } else {
+            1
+        };
         if lanes_here <= 1 {
             let s = &mut scratches[0];
             for &k in cols {
@@ -439,15 +464,6 @@ fn numeric_phase(
                 }
             }
         } else {
-            // Weighted spans: row length (plus the walk) approximates each
-            // column's numeric cost well enough to balance skewed levels.
-            wprefix.clear();
-            wprefix.push(0);
-            let mut acc = 0usize;
-            for &k in cols {
-                acc += rnz[k as usize] + 1;
-                wprefix.push(acc);
-            }
             let spans = pool::balanced_spans(&wprefix, lanes_here);
             p.parallel_for_with_scratch(&spans, &mut scratches, |_, (lo, hi), s| {
                 for &k in &cols[lo..hi] {
@@ -510,22 +526,26 @@ fn numeric_phase_masked(
     let p = pool::Pool::global();
     // Gate lanes on the *masked* work, not the whole factor: a small
     // ancestor closure inside a huge factor should not pay dispatch.
-    let masked_nnz: usize = (0..n).filter(|&k| mask[k]).map(|k| rnz[k] + 1).sum();
-    let lanes = {
-        let w = p.workers_for(masked_nnz, PAR_FACTOR_MIN_NNZ, PAR_FACTOR_MIN_NNZ);
-        if w > 1 && (p.is_forced() || schedule.avg_width() >= PAR_MIN_AVG_WIDTH) {
-            w.min(schedule.max_width()).max(1)
-        } else {
-            1
-        }
-    };
+    let heaviest = heaviest_level(schedule, |k| if mask[k] { rnz[k] + 1 } else { 0 });
+    let lanes = level_lanes(p, heaviest, PAR_FACTOR_LEVEL_MIN_WORK, schedule.max_width());
     let mut scratches: Vec<FactorScratch> = (0..lanes).map(|_| FactorScratch::new(n)).collect();
     let mut cols: Vec<u32> = Vec::new();
     let mut wprefix: Vec<usize> = Vec::with_capacity(schedule.max_width() + 1);
     for lvl in 0..schedule.level_count() {
         cols.clear();
         cols.extend(schedule.level(lvl).iter().filter(|&&k| mask[k as usize]));
-        let lanes_here = lanes.min(cols.len());
+        wprefix.clear();
+        wprefix.push(0);
+        let mut acc = 0usize;
+        for &k in &cols {
+            acc += rnz[k as usize] + 1;
+            wprefix.push(acc);
+        }
+        let lanes_here = if level_fans_out(acc, PAR_FACTOR_LEVEL_MIN_WORK, p.is_forced()) {
+            lanes.min(cols.len())
+        } else {
+            1
+        };
         if lanes_here <= 1 {
             let s = &mut scratches[0];
             for &k in &cols {
@@ -542,13 +562,6 @@ fn numeric_phase_masked(
                 }
             }
         } else {
-            wprefix.clear();
-            wprefix.push(0);
-            let mut acc = 0usize;
-            for &k in &cols {
-                acc += rnz[k as usize] + 1;
-                wprefix.push(acc);
-            }
             let spans = pool::balanced_spans(&wprefix, lanes_here);
             let cols = &cols[..];
             p.parallel_for_with_scratch(&spans, &mut scratches, |_, (lo, hi), s| {
@@ -684,6 +697,7 @@ impl LdlFactor {
             fwd: Vec::with_capacity(n + schedule.level_count()),
             bwd: Vec::with_capacity(n + schedule.level_count()),
             seg: Vec::with_capacity(schedule.level_count() + 1),
+            max_level: 0,
         };
         for lvl in 0..schedule.level_count() {
             sweep_weights.seg.push(sweep_weights.fwd.len());
@@ -697,6 +711,7 @@ impl LdlFactor {
                 sweep_weights.fwd.push(af);
                 sweep_weights.bwd.push(ab);
             }
+            sweep_weights.max_level = sweep_weights.max_level.max(af).max(ab);
         }
         sweep_weights.seg.push(sweep_weights.fwd.len());
 
@@ -1016,11 +1031,12 @@ impl LdlFactor {
     /// repeated solves (iterative refinement, shift-invert Lanczos, PCG
     /// preconditioning) allocate nothing after the first call.
     ///
-    /// Above a work crossover — or always, under an explicit
-    /// `SASS_THREADS` / [`pool::set_threads`] override — the forward and
-    /// backward substitutions run level-parallel over the elimination
-    /// tree on the worker pool, producing results identical to the serial
-    /// sweeps at every worker count.
+    /// When an elimination-tree level reaches the per-level dispatch gate
+    /// — or always, under an explicit `SASS_THREADS` /
+    /// [`pool::set_threads`] override — the forward and backward
+    /// substitutions run level-parallel over the elimination tree on the
+    /// worker pool, producing results identical to the serial sweeps at
+    /// every worker count.
     ///
     /// # Panics
     ///
@@ -1046,8 +1062,9 @@ impl LdlFactor {
     /// Solves `A X = B` for a block of right-hand sides, allocating the
     /// result.
     ///
-    /// Equivalent to calling [`LdlFactor::solve`] per column (to floating-
-    /// point sign-of-zero), but sweeps the factor once per
+    /// Bit-identical to calling [`LdlFactor::solve`] per column (each lane
+    /// runs the single-vector sweeps' operation sequence), but sweeps the
+    /// factor once per
     /// [`LDL_BLOCK_WIDTH`]-column chunk: one pass over `L`'s indices updates
     /// every column of the chunk, so factor traffic is amortized across the
     /// block.
@@ -1097,8 +1114,9 @@ impl LdlFactor {
     /// The work buffer holds one chunk of columns in *interleaved* (row-
     /// major) layout — `w[row * k + col]` — so the triangular sweeps touch
     /// each chunk's right-hand sides contiguously per factor row. Like the
-    /// single-vector path, the sweeps go level-parallel above a work
-    /// crossover (or under a forced pool override).
+    /// single-vector path, the sweeps go level-parallel when a level
+    /// reaches the per-level dispatch gate (or under a forced pool
+    /// override).
     ///
     /// # Panics
     ///
@@ -1113,49 +1131,114 @@ impl LdlFactor {
         assert_eq!(x.nrows(), self.n, "solve_block: x row-count mismatch");
         assert_eq!(x.ncols(), b.ncols(), "solve_block: column-count mismatch");
         let new_of_old = self.perm.new_of_old();
-        let mut start = 0;
-        while start < b.ncols() {
-            let k = LDL_BLOCK_WIDTH.min(b.ncols() - start);
-            work.resize(self.n * k, 0.0);
-            // Pack the chunk permuted and interleaved: w[new·k + c] = b_c[old].
-            for c in 0..k {
-                let col = b.col(start + c);
-                for (old, &new) in new_of_old.iter().enumerate() {
-                    work[new * k + c] = col[old];
+        self.solve_chunks(
+            b.ncols(),
+            work,
+            // Column-major source: each column scatters into lane `c`.
+            |start, k, w| {
+                for c in 0..k {
+                    let col = b.col(start + c);
+                    for (old, &new) in new_of_old.iter().enumerate() {
+                        w[new * k + c] = col[old];
+                    }
                 }
-            }
+            },
+            |start, k, w| {
+                for c in 0..k {
+                    let col = x.col_mut(start + c);
+                    for (old, &new) in new_of_old.iter().enumerate() {
+                        col[old] = w[new * k + c];
+                    }
+                }
+            },
+        );
+    }
+
+    /// Solves `A X = B` for a **row-major** block of `ncols` right-hand
+    /// sides: `b[i·ncols + c]` is row `i` of column `c`, and `x` receives
+    /// the solutions in the same layout.
+    ///
+    /// The interleaved counterpart of
+    /// [`LdlFactor::solve_block_into_scratch`], running the same chunked
+    /// sweeps (so each column is bit-identical to it): with the source
+    /// already interleaved, packing a chunk into the permuted work buffer
+    /// and unpacking it are contiguous row copies instead of `k`
+    /// element-wise column scatters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len()` or `x.len()` differs from `n · ncols`.
+    pub fn solve_interleaved_into_scratch(
+        &self,
+        b: &[f64],
+        x: &mut [f64],
+        ncols: usize,
+        work: &mut Vec<f64>,
+    ) {
+        assert_eq!(
+            b.len(),
+            self.n * ncols,
+            "solve_interleaved: b length mismatch"
+        );
+        assert_eq!(
+            x.len(),
+            self.n * ncols,
+            "solve_interleaved: x length mismatch"
+        );
+        let new_of_old = self.perm.new_of_old();
+        self.solve_chunks(
+            ncols,
+            work,
+            |start, k, w| {
+                let new = |old: usize| new_of_old[old] * k;
+                copy_rows(self.n, k, w, new, b, |old| old * ncols + start);
+            },
+            |start, k, w| {
+                let new = |old: usize| new_of_old[old] * k;
+                copy_rows(self.n, k, x, |old| old * ncols + start, w, new);
+            },
+        );
+    }
+
+    /// The one blocked-solve core: `ncols` columns in chunks of at most
+    /// [`LDL_BLOCK_WIDTH`]. For each chunk `pack(start, k, w)` fills the
+    /// permuted interleaved work buffer (`w[new·k + c]` = column
+    /// `start + c` at original row `old`), the sweeps run, and
+    /// `unpack(start, k, w)` copies the solutions out.
+    fn solve_chunks(
+        &self,
+        ncols: usize,
+        work: &mut Vec<f64>,
+        mut pack: impl FnMut(usize, usize, &mut [f64]),
+        mut unpack: impl FnMut(usize, usize, &[f64]),
+    ) {
+        let mut start = 0;
+        while start < ncols {
+            let k = LDL_BLOCK_WIDTH.min(ncols - start);
+            work.resize(self.n * k, 0.0);
+            pack(start, k, work);
             if k == LDL_BLOCK_WIDTH {
                 self.sweep_chunk_fixed::<LDL_BLOCK_WIDTH>(work);
             } else {
                 self.sweep_chunk_dyn(work, k);
             }
-            // Un-permute back into the output columns.
-            for c in 0..k {
-                let col = x.col_mut(start + c);
-                for (old, &new) in new_of_old.iter().enumerate() {
-                    col[old] = work[new * k + c];
-                }
-            }
+            unpack(start, k, work);
             start += k;
         }
     }
 
     /// Lane count for a triangular sweep over `ncols` right-hand sides —
-    /// 1 whenever the flat serial sweeps win: below the work crossover,
-    /// or when the etree is too deep and narrow for level scheduling to
-    /// pay (near-tree factors keep their current latency). A standing
-    /// `SASS_THREADS` / [`pool::set_threads`] override skips both gates.
+    /// 1 (the flat serial loops) when no level reaches
+    /// [`PAR_LEVEL_MIN_WORK`]: every level would run inline, and the flat
+    /// loops beat walking the levels one by one.
     fn solve_workers(&self, ncols: usize) -> usize {
-        let p = pool::Pool::global();
-        let work = (self.rx.len() + self.n).saturating_mul(ncols);
-        let w = p.workers_for(work, PAR_SOLVE_MIN_WORK, PAR_SOLVE_MIN_WORK);
-        if w <= 1 {
-            return 1;
-        }
-        if !p.is_forced() && self.schedule.avg_width() < PAR_MIN_AVG_WIDTH {
-            return 1;
-        }
-        w.min(self.schedule.max_width()).max(1)
+        let heaviest = self.sweep_weights.max_level.saturating_mul(ncols);
+        level_lanes(
+            pool::Pool::global(),
+            heaviest,
+            PAR_LEVEL_MIN_WORK,
+            self.schedule.max_width(),
+        )
     }
 
     /// One full forward / diagonal / backward sweep over the level
@@ -1166,6 +1249,7 @@ impl LdlFactor {
     fn drive_levels(
         &self,
         workers: usize,
+        ncols: usize,
         fwd: &(dyn Fn(usize) + Sync),
         diag: &(dyn Fn(usize) + Sync),
         bwd: &(dyn Fn(usize) + Sync),
@@ -1177,10 +1261,16 @@ impl LdlFactor {
                 self.schedule.level(lvl),
                 self.sweep_weights.level_fwd(lvl),
                 workers,
+                ncols,
                 fwd,
             );
         }
-        let spans = pool::even_spans(self.n, workers);
+        let diag_lanes = if level_fans_out(self.n * ncols, PAR_LEVEL_MIN_WORK, p.is_forced()) {
+            workers
+        } else {
+            1
+        };
+        let spans = pool::even_spans(self.n, diag_lanes);
         if spans.len() <= 1 {
             for j in 0..self.n {
                 diag(j);
@@ -1198,6 +1288,7 @@ impl LdlFactor {
                 self.schedule.level(lvl),
                 self.sweep_weights.level_bwd(lvl),
                 workers,
+                ncols,
                 bwd,
             );
         }
@@ -1298,6 +1389,7 @@ impl LdlFactor {
         // serial sweep's operation sequence whichever lane claims it.
         self.drive_levels(
             workers,
+            1,
             &|j| unsafe { self.forward_row(j, &yp) },
             &|j| unsafe { *yp.get().add(j) /= self.d[j] },
             &|j| unsafe { self.backward_col(j, &yp) },
@@ -1424,6 +1516,7 @@ impl LdlFactor {
         // K-wide chunk row, levels barrier between dispatches.
         self.drive_levels(
             workers,
+            K,
             &|j| unsafe { self.forward_row_block::<K>(j, &wp) },
             &|j| unsafe { self.scale_row_block::<K>(j, &wp) },
             &|j| unsafe { self.backward_col_block::<K>(j, &wp) },
@@ -1448,17 +1541,91 @@ impl LdlFactor {
     }
 }
 
-/// Dispatches one level's columns across the pool (or inline when the
-/// level is narrower than two lanes).
+/// `dst[d(i)..][..k] = src[s(i)..][..k]` for every row `i < rows` —
+/// the permuted pack and unpack of one chunk — monomorphized per chunk
+/// width `k ≤ LDL_BLOCK_WIDTH` so each row moves as a fixed-size copy
+/// rather than a `memcpy` call.
+fn copy_rows(
+    rows: usize,
+    k: usize,
+    dst: &mut [f64],
+    d: impl Fn(usize) -> usize,
+    src: &[f64],
+    s: impl Fn(usize) -> usize,
+) {
+    fn fixed<const K: usize>(
+        rows: usize,
+        dst: &mut [f64],
+        d: impl Fn(usize) -> usize,
+        src: &[f64],
+        s: impl Fn(usize) -> usize,
+    ) {
+        for i in 0..rows {
+            let (di, si) = (d(i), s(i));
+            dst[di..di + K].copy_from_slice(&src[si..si + K]);
+        }
+    }
+    match k {
+        1 => fixed::<1>(rows, dst, d, src, s),
+        2 => fixed::<2>(rows, dst, d, src, s),
+        3 => fixed::<3>(rows, dst, d, src, s),
+        4 => fixed::<4>(rows, dst, d, src, s),
+        5 => fixed::<5>(rows, dst, d, src, s),
+        6 => fixed::<6>(rows, dst, d, src, s),
+        7 => fixed::<7>(rows, dst, d, src, s),
+        8 => fixed::<8>(rows, dst, d, src, s),
+        _ => unreachable!("chunk width {k} out of [1, {LDL_BLOCK_WIDTH}]"),
+    }
+}
+
+/// Whether one elimination-tree level of `work` units fans out across
+/// the pool: only when the work reaches `min_work` (the level's share
+/// then outweighs a dispatch), or always under a standing lane override
+/// (`forced`), which is how the parity and race-check suites force every
+/// level through real dispatch.
+fn level_fans_out(work: usize, min_work: usize, forced: bool) -> bool {
+    forced || work >= min_work
+}
+
+/// Lanes for a level-scheduled pass whose heaviest level carries
+/// `heaviest` work units: the pool's lanes (at most `max_width`, the
+/// widest level) when that level fans out, else 1 — no level would leave
+/// the caller, so the pass runs serially and allocates one scratch.
+fn level_lanes(p: &pool::Pool, heaviest: usize, min_work: usize, max_width: usize) -> usize {
+    let lanes = p.threads();
+    if lanes <= 1 || !level_fans_out(heaviest, min_work, p.is_forced()) {
+        return 1;
+    }
+    lanes.min(max_width).max(1)
+}
+
+/// The heaviest level's total of `weight(k)` over its columns `k`.
+fn heaviest_level(schedule: &LevelSchedule, weight: impl Fn(usize) -> usize) -> usize {
+    (0..schedule.level_count())
+        .map(|l| schedule.level(l).iter().map(|&k| weight(k as usize)).sum())
+        .max()
+        .unwrap_or(0)
+}
+
+/// Dispatches one level's columns across the pool, or runs them inline
+/// when the level is narrower than two lanes or lighter than
+/// [`PAR_LEVEL_MIN_WORK`] (its `wprefix` total times the `ncols`
+/// right-hand sides of the sweep).
 fn run_level(
     p: &pool::Pool,
     cols: &[u32],
     wprefix: &[usize],
     workers: usize,
+    ncols: usize,
     f: &(dyn Fn(usize) + Sync),
 ) {
     debug_assert_eq!(wprefix.len(), cols.len() + 1);
-    let lanes = workers.min(cols.len());
+    let work = wprefix[cols.len()].saturating_mul(ncols);
+    let lanes = if level_fans_out(work, PAR_LEVEL_MIN_WORK, p.is_forced()) {
+        workers.min(cols.len())
+    } else {
+        1
+    };
     if lanes <= 1 {
         for &j in cols {
             f(j as usize);
@@ -1495,6 +1662,33 @@ mod tests {
             }
         }
         coo.to_csr()
+    }
+
+    /// The per-level dispatch gate: a level below the threshold runs
+    /// inline, one at or above it fans out, and a standing lane override
+    /// fans out every level — for the sweeps and the numeric phase alike.
+    #[test]
+    fn level_gate_decision() {
+        for min in [PAR_LEVEL_MIN_WORK, PAR_FACTOR_LEVEL_MIN_WORK] {
+            assert!(
+                !level_fans_out(min - 1, min, false),
+                "light level runs inline"
+            );
+            assert!(!level_fans_out(0, min, false));
+            assert!(level_fans_out(min, min, false), "heavy level fans out");
+            assert!(level_fans_out(min * 4, min, false));
+            assert!(level_fans_out(0, min, true), "forced override fans out");
+            assert!(level_fans_out(min - 1, min, true));
+        }
+        // A sweep's level work scales with its right-hand sides: a level
+        // too light for one vector can pay for a full 8-wide chunk.
+        let w = PAR_LEVEL_MIN_WORK / LDL_BLOCK_WIDTH;
+        assert!(!level_fans_out(w, PAR_LEVEL_MIN_WORK, false));
+        assert!(level_fans_out(
+            w * LDL_BLOCK_WIDTH,
+            PAR_LEVEL_MIN_WORK,
+            false
+        ));
     }
 
     #[test]
@@ -1662,7 +1856,8 @@ mod tests {
     }
 
     /// A natural-order tridiagonal factor has a pure path etree: n levels
-    /// of width one — the degenerate schedule the crossover guards.
+    /// of width one — the degenerate schedule the dispatch gate keeps
+    /// serial.
     #[test]
     fn path_etree_level_stats() {
         let a = spd_tridiag(12);

@@ -70,6 +70,28 @@ fn par_spmv_on(p: &pool::Pool, a: &CsrMatrix, x: &[f64], y: &mut [f64], workers:
     });
 }
 
+/// Row-split [`CsrMatrix::mul_block_into`]: the lane count is sized on
+/// `nnz · k`, the work of all `k` columns, and each span runs the serial
+/// SpMM kernel on its own rows.
+pub(crate) fn par_spmm(a: &CsrMatrix, x: &[f64], y: &mut [f64], k: usize) {
+    let workers = worker_count(a.nrows(), a.nnz().saturating_mul(k));
+    par_spmm_on(pool::Pool::global(), a, x, y, k, workers);
+}
+
+/// [`par_spmm`] over an explicit pool and lane count (see [`par_spmv_on`]).
+fn par_spmm_on(p: &pool::Pool, a: &CsrMatrix, x: &[f64], y: &mut [f64], k: usize, workers: usize) {
+    let (indptr, indices, data) = (a.indptr(), a.indices(), a.data());
+    if workers <= 1 {
+        kernel::spmm_range_f64(indptr, indices, data, x, y, k, 0, a.nrows());
+        return;
+    }
+    let spans = pool::balanced_spans(indptr, workers);
+    p.parallel_for_disjoint_mut(y, &pool::scale_spans(&spans, k), |s, chunk| {
+        let (lo, hi) = spans[s];
+        kernel::spmm_range_f64(indptr, indices, data, x, chunk, k, lo, hi);
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,6 +159,33 @@ mod tests {
             par_spmv_on(&p, &a, &x, &mut parallel, workers);
             assert!(p.worker_count() >= 1, "dispatch must really fan out");
             assert_eq!(serial, parallel, "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn forced_multi_worker_spmm_matches_serial_bit_for_bit() {
+        let a = random_ish_matrix(2_048, 6);
+        for k in [1usize, 5, 14] {
+            let x: Vec<f64> = (0..a.ncols() * k)
+                .map(|i| ((i * 13 % 211) as f64) * 0.01 - 1.0)
+                .collect();
+            let mut serial = vec![0.0; a.nrows() * k];
+            kernel::spmm_range_f64(
+                a.indptr(),
+                a.indices(),
+                a.data(),
+                &x,
+                &mut serial,
+                k,
+                0,
+                a.nrows(),
+            );
+            for workers in [2, 3, 8] {
+                let p = pool::Pool::with_threads(workers);
+                let mut parallel = vec![0.0; a.nrows() * k];
+                par_spmm_on(&p, &a, &x, &mut parallel, k, workers);
+                assert_eq!(serial, parallel, "k = {k}, workers = {workers}");
+            }
         }
     }
 

@@ -1,8 +1,8 @@
 //! Persistent worker pool — the shared parallel substrate of the workspace.
 //!
-//! Every embarrassingly parallel loop in the pipeline (SpMV rows, edge
-//! stretch, Joule-heat accumulation, heat filtering, blocked-solve column
-//! passes) dispatches through one lazily initialized, process-wide pool of
+//! Every embarrassingly parallel loop in the pipeline (SpMV and SpMM rows,
+//! edge stretch, Joule-heat accumulation, heat filtering, LDLᵀ levels)
+//! dispatches through one lazily initialized, process-wide pool of
 //! *parked* OS threads instead of paying a `std::thread::spawn` per call.
 //! Dispatch is a mutex lock plus a condvar wake — two to three orders of
 //! magnitude cheaper than spawning — which is what lets the per-kernel
@@ -281,16 +281,14 @@ impl Pool {
     /// With the `parallel` feature disabled this is always 1 and the pool
     /// never leaves the caller's thread.
     pub fn threads(&self) -> usize {
-        #[cfg(not(feature = "parallel"))]
-        {
+        let configured = match self.override_threads.load(Ordering::Relaxed) {
+            0 => self.auto_threads,
+            k => k,
+        };
+        if cfg!(feature = "parallel") {
+            configured
+        } else {
             1
-        }
-        #[cfg(feature = "parallel")]
-        {
-            match self.override_threads.load(Ordering::Relaxed) {
-                0 => self.auto_threads,
-                k => k,
-            }
         }
     }
 

@@ -5,7 +5,7 @@
 //! results at any worker count: every column's output is computed by the
 //! same operation sequence reading the same level-finalized inputs,
 //! whichever pool lane runs it. `pool::set_threads` is a standing
-//! override that skips the nnz/level-width crossovers, so even the small
+//! override that skips the per-level dispatch gate, so even the small
 //! matrices generated here go through real multi-lane level dispatch.
 //!
 //! Pathological elimination trees ride along: a path etree (no level

@@ -234,6 +234,107 @@ proptest! {
     }
 }
 
+/// Strategy: a square matrix with a random *symmetric pattern* (values
+/// independent per triangle) of size `n in [1, 40)`, where roughly a
+/// third of the rows are left empty (no diagonal, no neighbours), plus a
+/// random permutation of its indices.
+fn sym_pattern_and_perm() -> impl Strategy<Value = (CsrMatrix, Permutation)> {
+    (1usize..40, 0u64..1_000_000).prop_map(|(n, seed)| {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let live: Vec<bool> = (0..n).map(|_| rng.gen_range(0..3) != 0).collect();
+        let mut coo = CooMatrix::new(n, n);
+        let mut seen = std::collections::HashSet::new();
+        for _ in 0..(2 * n) {
+            let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if live[i] && live[j] && seen.insert((i.min(j), i.max(j))) {
+                coo.push(i, j, rng.gen_range(-2.0..2.0));
+                if i != j {
+                    coo.push(j, i, rng.gen_range(-2.0..2.0));
+                }
+            }
+        }
+        let mut order: Vec<usize> = (0..n).collect();
+        let keys: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
+        order.sort_by_key(|&i| keys[i]);
+        (coo.to_csr(), Permutation::from_old_of_new(order).unwrap())
+    })
+}
+
+/// Strategy: a rectangular CSR matrix with ragged rows (`0..=6` entries,
+/// so empty rows are common) and a right-hand block width in `1..=33`.
+fn ragged_matrix_and_width() -> impl Strategy<Value = (CsrMatrix, usize, u64)> {
+    (1usize..48, 1usize..48, 1usize..=33, 0u64..1_000_000).prop_map(|(nr, nc, k, seed)| {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut coo = CooMatrix::new(nr, nc);
+        for i in 0..nr {
+            let mut cols: Vec<usize> = (0..rng.gen_range(0..=6))
+                .map(|_| rng.gen_range(0..nc))
+                .collect();
+            cols.sort_unstable();
+            cols.dedup();
+            for j in cols {
+                coo.push(i, j, rng.gen_range(-3.0..3.0));
+            }
+        }
+        (coo.to_csr(), k, seed)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The direct O(nnz) symmetric permutation must reproduce the
+    /// triplet (COO) construction it replaced, bit for bit — pattern,
+    /// row order and values — including on empty rows.
+    #[test]
+    fn permute_sym_matches_coo_reference((a, perm) in sym_pattern_and_perm()) {
+        let p = perm.new_of_old();
+        let mut coo = CooMatrix::with_capacity(a.nrows(), a.ncols(), a.nnz());
+        for i in 0..a.nrows() {
+            let (cols, vals) = a.row(i);
+            for (c, v) in cols.iter().zip(vals) {
+                coo.push(p[i], p[*c as usize], *v);
+            }
+        }
+        let want = coo.to_csr();
+        let got = a.permute_sym(&perm).unwrap();
+        prop_assert_eq!(got.indptr(), want.indptr());
+        prop_assert_eq!(got.indices(), want.indices());
+        let bits = |m: &CsrMatrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&got), bits(&want));
+    }
+
+    /// The row-major SpMM must give every column exactly the bits of a
+    /// per-column `mul_vec_into`, at every forced pool width (the override
+    /// skips the size crossover, so even these small products fan out).
+    #[test]
+    fn spmm_bit_identical_to_column_loop((a, k, seed) in ragged_matrix_and_width()) {
+        use rand::{Rng, SeedableRng};
+        use sass_sparse::pool;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5eed);
+        let x: Vec<f64> = (0..a.ncols() * k).map(|_| rng.gen_range(-4.0..4.0)).collect();
+        let mut want = vec![0.0; a.nrows() * k];
+        for c in 0..k {
+            let xc: Vec<f64> = (0..a.ncols()).map(|j| x[j * k + c]).collect();
+            let mut yc = vec![f64::NAN; a.nrows()];
+            a.mul_vec_into(&xc, &mut yc);
+            for (i, v) in yc.into_iter().enumerate() {
+                want[i * k + c] = v;
+            }
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for workers in [1usize, 2, 3, 8] {
+            pool::set_threads(workers);
+            let mut got = vec![f64::NAN; a.nrows() * k];
+            a.mul_block_into(&x, &mut got, k);
+            pool::set_threads(0);
+            prop_assert_eq!(bits(&got), bits(&want), "workers = {}", workers);
+        }
+    }
+}
+
 /// Strategy: a shifted Laplacian (SPD) of a hub-heavy random graph,
 /// `n in [30, 500)`: preferential attachment with one to three edges per
 /// new node, plus, on even seeds, one extra hub tied to 60% of the nodes —
